@@ -5,7 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "txn/client_txn_store.h"
 #include "txn/local_2pl.h"
@@ -167,6 +170,30 @@ void BM_OccTransfer(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OccTransfer);
+
+// One 1000-row committed page on a table of state.range(0) records.  The
+// page cost should not grow with the table: the engine merges per-shard
+// sorted runs from the start key instead of sorting the whole index.
+void BM_OccScanPage(benchmark::State& state) {
+  txn::OccEngine store{txn::OccOptions{}};
+  const int records = static_cast<int>(state.range(0));
+  constexpr int kPage = 1000;
+  char buf[16];
+  for (int i = 0; i < records; ++i) {
+    std::snprintf(buf, sizeof(buf), "k%07d", i);
+    store.LoadPut(buf, std::string(100, 'x'));
+  }
+  std::vector<txn::TxScanEntry> rows;
+  int page = 0;
+  for (auto _ : state) {
+    std::snprintf(buf, sizeof(buf), "k%07d",
+                  (page++ * kPage) % (records - kPage + 1));
+    store.ScanCommitted(buf, kPage, &rows);
+    benchmark::DoNotOptimize(rows.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kPage);
+}
+BENCHMARK(BM_OccScanPage)->Arg(10000)->Arg(100000);
 
 void BM_SnapshotScan(benchmark::State& state) {
   auto store = MakeClientStore();

@@ -92,8 +92,9 @@ Status ShardedStore::Open() {
           AdvanceEtagSource(r.etag);
           continue;
         }
-        recovery_.checkpoint_records +=
-            ApplyReplayed(r, /*skip_upto_etag=*/0);
+        size_t applied = 0;
+        (void)ApplyReplayed(r, /*skip_upto_etag=*/0, &applied);  // no watermark
+        recovery_.checkpoint_records += applied;
       }
     } else {
       recovery_.checkpoint_scrubbed = true;
@@ -109,18 +110,22 @@ Status ShardedStore::Open() {
   //    checkpoint rename and WAL truncation the log still holds records the
   //    snapshot already folded in; the watermark filters them out.)
   size_t wal_valid_bytes = 0;
+  Status apply_status;
   Status s = WriteAheadLog::Replay(
       options_.wal_path,
-      [this](const WalRecord& r) {
-        size_t applied = ApplyReplayed(r, checkpoint_etag_);
+      [this, &apply_status](const WalRecord& r) {
+        if (!apply_status.ok()) return;
+        size_t applied = 0;
+        apply_status = ApplyReplayed(r, checkpoint_etag_, &applied);
         if (applied > 0) {
           recovery_.wal_records_replayed += applied;
-        } else {
+        } else if (apply_status.ok()) {
           recovery_.wal_records_skipped++;
         }
       },
       &wal_valid_bytes, env);
   if (!s.ok()) return s;
+  if (!apply_status.ok()) return apply_status;
   // 3. Chop off any torn tail a crash left behind: new appends must follow
   //    the last intact record, or the tear would sit mid-log (and read as
   //    hard corruption) on the next replay.
@@ -155,8 +160,9 @@ void ShardedStore::AdvanceEtagSource(uint64_t etag) {
   }
 }
 
-size_t ShardedStore::ApplyReplayed(const WalRecord& record,
-                                   uint64_t skip_upto_etag) {
+Status ShardedStore::ApplyReplayed(const WalRecord& record,
+                                   uint64_t skip_upto_etag, size_t* applied) {
+  *applied = 0;
   if (record.kind == WalRecord::Kind::kBulkPut ||
       record.kind == WalRecord::Kind::kTxnPut) {
     // One frame covers a whole run (sorted bulk load) or one atomic
@@ -165,19 +171,28 @@ size_t ShardedStore::ApplyReplayed(const WalRecord& record,
     // encoder bug — apply whatever decoded.
     std::vector<std::pair<std::string, std::string>> run;
     DecodeBulkPayload(record.value, &run);
-    size_t applied = 0;
-    for (size_t i = 0; i < run.size(); ++i) {
-      uint64_t etag = record.etag + i;
-      if (etag <= skip_upto_etag) continue;
-      Shard& shard = ShardFor(run[i].first);
-      std::unique_lock<std::shared_mutex> lock(shard.mu);
-      shard.map.Upsert(run[i].first, Entry{std::move(run[i].second), etag});
-      ++applied;
+    if (run.empty()) return Status::OK();
+    const uint64_t last_etag = record.etag + run.size() - 1;
+    AdvanceEtagSource(last_etag);
+    // The frame is applied or skipped as a whole.  Its etags are reserved
+    // under the shard locks a checkpoint also takes, so a watermark can
+    // never fall inside one frame; if it does, the files disagree.
+    if (last_etag <= skip_upto_etag) return Status::OK();
+    if (record.etag <= skip_upto_etag) {
+      return Status::Corruption(
+          "WAL frame etags " + std::to_string(record.etag) + ".." +
+          std::to_string(last_etag) + " straddle the checkpoint watermark " +
+          std::to_string(skip_upto_etag));
     }
-    if (!run.empty()) AdvanceEtagSource(record.etag + run.size() - 1);
-    return applied;
+    for (auto& [key, value] : run) {
+      Shard& shard = ShardFor(key);
+      std::unique_lock<std::shared_mutex> lock(shard.mu);
+      shard.map.Upsert(key, Entry{std::move(value), record.etag + *applied});
+      ++*applied;
+    }
+    return Status::OK();
   }
-  if (record.etag != 0 && record.etag <= skip_upto_etag) return 0;
+  if (record.etag != 0 && record.etag <= skip_upto_etag) return Status::OK();
   Shard& shard = ShardFor(record.key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   if (record.kind == WalRecord::Kind::kPut) {
@@ -187,7 +202,8 @@ size_t ShardedStore::ApplyReplayed(const WalRecord& record,
   }
   // Keep the etag source ahead of everything the log produced.
   AdvanceEtagSource(record.etag);
-  return 1;
+  *applied = 1;
+  return Status::OK();
 }
 
 Status ShardedStore::PoisonStore(const std::string& why) {
@@ -292,15 +308,6 @@ Status ShardedStore::BulkLoad(
           std::to_string(i));
     }
   }
-  // Reserve a contiguous etag range up front: record i carries first + i,
-  // so replay and checkpoint watermarks order the run like individual puts.
-  uint64_t first_etag = etag_source_.fetch_add(sorted_records.size(),
-                                               std::memory_order_relaxed) +
-                        1;
-  // One frame for the whole run; rides group commit like any other append.
-  Status log = LogMutation(WalRecord::Kind::kBulkPut, "",
-                           EncodeBulkPayload(sorted_records), first_etag);
-  if (!log.ok()) return log;
   // Stream the run once, in order, into one sorted-insert cursor per shard.
   // The global sort order restricted to any one shard is still strictly
   // ascending, so every cursor sees a valid feed.  Walking the record array
@@ -317,6 +324,16 @@ Status ShardedStore::BulkLoad(
     locks.emplace_back(shard->mu);
     cursors.emplace_back(&shard->map);
   }
+  // Reserve a contiguous etag range under the locks (record i carries
+  // first + i), so replay and checkpoint watermarks order the run like
+  // individual puts and no checkpoint can cover an etag not yet applied.
+  uint64_t first_etag = etag_source_.fetch_add(sorted_records.size(),
+                                               std::memory_order_relaxed) +
+                        1;
+  // One frame for the whole run; rides group commit like any other append.
+  Status log = LogMutation(WalRecord::Kind::kBulkPut, "",
+                           EncodeBulkPayload(sorted_records), first_etag);
+  if (!log.ok()) return log;
   for (size_t i = 0; i < sorted_records.size(); ++i) {
     cursors[ShardIndex(sorted_records[i].first)].Insert(
         sorted_records[i].first, Entry{sorted_records[i].second, first_etag + i});
@@ -333,9 +350,8 @@ Status ShardedStore::MultiPut(
     (void)value;
     if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
   }
-  // Contiguous etag range: entry i carries first + i, mirroring kBulkPut.
-  uint64_t first_etag =
-      etag_source_.fetch_add(records.size(), std::memory_order_relaxed) + 1;
+  Status s = EnvOrDefault()->MaybeCrashPoint("store_multiput_pre_lock");
+  if (!s.ok()) return s;
 
   // Lock every involved shard together (index order, deduped — the order
   // every multi-shard path uses) so readers can't see half the batch.
@@ -347,6 +363,12 @@ Status ShardedStore::MultiPut(
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(shard_idx.size());
   for (size_t idx : shard_idx) locks.emplace_back(shards_[idx]->mu);
+
+  // Contiguous etag range: entry i carries first + i, mirroring kBulkPut.
+  // Reserved under the locks, like every write: a checkpoint holds all shard
+  // locks, so every etag below its watermark has then been applied.
+  uint64_t first_etag =
+      etag_source_.fetch_add(records.size(), std::memory_order_relaxed) + 1;
 
   // One kTxnPut frame = the whole transaction's durability: recovery replays
   // all of it or none of it, never a partial multi-key commit.
@@ -410,10 +432,12 @@ Status ShardedStore::Put(const std::string& key, std::string_view value,
                          uint64_t* etag_out) {
   if (!open_) return Status::IOError("store not opened");
   if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
-  uint64_t etag = NextEtag();
+  Status s = EnvOrDefault()->MaybeCrashPoint("store_put_pre_lock");
+  if (!s.ok()) return s;
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
+  uint64_t etag = NextEtag();
+  s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
   if (!s.ok()) return s;
   shard.map.Upsert(key, Entry{std::string(value), etag});
   if (etag_out != nullptr) *etag_out = etag;

@@ -217,7 +217,9 @@ class ShardedStore : public Store {
 
   /// Loads the checkpoint (if configured and present), replays the WAL
   /// (if configured) and opens it for appending.
-  /// Must be called once before use when `wal_path` is set.
+  /// Must be called once before use when `wal_path` is set.  Returns
+  /// Corruption when a multi-entry WAL frame straddles the checkpoint's etag
+  /// watermark (it is never half-applied).
   Status Open();
 
   /// Writes a consistent snapshot of the whole store to `checkpoint_path`
@@ -331,9 +333,11 @@ class ShardedStore : public Store {
   }
   Status LogMutation(WalRecord::Kind kind, const std::string& key,
                      std::string_view value, uint64_t etag);
-  /// Applies one replayed record; returns the number of entries actually
-  /// applied (0 when the watermark filtered the whole frame).
-  size_t ApplyReplayed(const WalRecord& record, uint64_t skip_upto_etag);
+  /// Applies one replayed record, setting `*applied` to the number of
+  /// entries applied (0 when the watermark filtered the whole record).  A
+  /// multi-entry frame straddling the watermark is Corruption.
+  Status ApplyReplayed(const WalRecord& record, uint64_t skip_upto_etag,
+                       size_t* applied);
   /// Fail-stops the store with `why`; returns the poison status.
   Status PoisonStore(const std::string& why);
 

@@ -169,28 +169,86 @@ void OccEngine::ReadRecord(const Record* rec, Version** version,
   }
 }
 
-void OccEngine::CollectRange(const std::string& start_key, size_t limit,
-                             std::vector<TxScanEntry>* out) const {
-  out->clear();
-  if (limit == 0) return;
-  // Records are never removed from the index, so the key views stay valid
-  // after the shard locks drop; only version access needs the epoch pin.
-  std::vector<const Record*> candidates;
-  for (const Shard& shard : shards_) {
+void OccEngine::FoldNewRecords(Shard& shard) {
+  {
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    for (const auto& [key, rec] : shard.map) {
-      if (key >= std::string_view(start_key)) candidates.push_back(rec);
+    if (shard.sorted.size() == shard.records.size()) return;
+  }
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
+  const size_t folded = shard.sorted.size();  // another scan may have folded
+  shard.sorted.reserve(shard.records.size());
+  for (size_t i = folded; i < shard.records.size(); ++i) {
+    shard.sorted.push_back(shard.records[i].get());
+  }
+  auto by_key = [](const Record* a, const Record* b) { return a->key < b->key; };
+  auto tail = shard.sorted.begin() + static_cast<std::ptrdiff_t>(folded);
+  std::sort(tail, shard.sorted.end(), by_key);
+  std::inplace_merge(shard.sorted.begin(), tail, shard.sorted.end(), by_key);
+}
+
+void OccEngine::MergeSorted(std::string_view from, size_t limit,
+                            std::vector<const Record*>* page) const {
+  using Cursor = std::pair<std::vector<Record*>::const_iterator,
+                           std::vector<Record*>::const_iterator>;
+  // Shared locks in index order: folds and record creation take one shard's
+  // unique lock and wait on nothing else, so this cannot deadlock with them.
+  std::vector<std::shared_lock<std::shared_mutex>> locks;
+  locks.reserve(shards_.size());
+  std::vector<Cursor> heap;
+  heap.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    locks.emplace_back(shard.mu);
+    auto first = std::lower_bound(shard.sorted.begin(), shard.sorted.end(),
+                                  from, [](const Record* r, std::string_view k) {
+                                    return std::string_view(r->key) < k;
+                                  });
+    if (first != shard.sorted.end()) heap.emplace_back(first, shard.sorted.end());
+  }
+  // Max-heap on reversed comparison -> pops the smallest key first.
+  auto greater = [](const Cursor& a, const Cursor& b) {
+    return (*a.first)->key > (*b.first)->key;
+  };
+  std::make_heap(heap.begin(), heap.end(), greater);
+  while (!heap.empty() && page->size() < limit) {
+    std::pop_heap(heap.begin(), heap.end(), greater);
+    Cursor& c = heap.back();
+    page->push_back(*c.first);
+    if (++c.first == c.second) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), greater);
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Record* a, const Record* b) { return a->key < b->key; });
-  for (const Record* rec : candidates) {
-    Version* v = nullptr;
-    uint64_t tid = 0;
-    ReadRecord(rec, &v, &tid);
-    if (v == nullptr || v->tombstone) continue;
-    out->push_back({rec->key, v->value});
-    if (out->size() >= limit) break;
+}
+
+void OccEngine::CollectRange(const std::string& start_key, size_t limit,
+                             std::vector<TxScanEntry>* out) {
+  out->clear();
+  if (limit == 0) return;
+  for (Shard& shard : shards_) FoldNewRecords(shard);
+  // Records are never removed from the index, so the candidates (and their
+  // keys) stay valid after the shard locks drop; only version access needs
+  // the epoch pin.  ReadRecord must run with no shard lock held: it spins
+  // on a committer's record lock, and that committer may itself be waiting
+  // for a unique shard lock in FindOrCreateRecord.
+  std::vector<const Record*> page;
+  std::string from = start_key;
+  while (out->size() < limit) {
+    const size_t want = limit - out->size();
+    page.clear();
+    MergeSorted(from, want, &page);
+    for (const Record* rec : page) {
+      Version* v = nullptr;
+      uint64_t tid = 0;
+      ReadRecord(rec, &v, &tid);
+      if (v == nullptr || v->tombstone) continue;
+      out->push_back({rec->key, v->value});
+    }
+    if (page.size() < want) break;  // every shard exhausted
+    // Tombstones left the page short: resume at the last candidate's
+    // immediate successor.
+    from = page.back()->key;
+    from.push_back('\0');
   }
 }
 

@@ -139,6 +139,10 @@ class OccEngine : public TransactionalKV {
     mutable std::shared_mutex mu;  ///< index structure only, never held for reads
     std::unordered_map<std::string_view, Record*> map;
     std::vector<std::unique_ptr<Record>> records;
+    /// `records[0, sorted.size())` in key order.  Scans fold newer records
+    /// in lazily (`FoldNewRecords`), so the load path and point reads never
+    /// pay for ordering.
+    std::vector<Record*> sorted;
   };
 
   struct Retired {
@@ -185,10 +189,21 @@ class OccEngine : public TransactionalKV {
   /// returns a locked TID — spins past in-flight installs.
   void ReadRecord(const Record* rec, Version** version, uint64_t* tid) const;
 
-  /// Ordered committed scan from `start_key`, up to `limit` live rows.  The
-  /// caller must be pinned.
+  /// Ordered committed scan from `start_key`, up to `limit` live rows, in
+  /// O(shards * log n + limit * log shards) per page.  The caller must be
+  /// pinned.
   void CollectRange(const std::string& start_key, size_t limit,
-                    std::vector<TxScanEntry>* out) const;
+                    std::vector<TxScanEntry>* out);
+
+  /// Merges records created since the last fold into `shard.sorted`.
+  void FoldNewRecords(Shard& shard);
+
+  /// K-way merge of the shards' sorted runs: appends up to `limit` records
+  /// with key >= `from` to `*page`, in key order.  Holds every shard's
+  /// shared lock while merging and none on return, so the caller reads the
+  /// records lock-free afterwards.
+  void MergeSorted(std::string_view from, size_t limit,
+                   std::vector<const Record*>* page) const;
 
   /// Hands an unlinked version to the thread's retire list, stamped with the
   /// global epoch observed *after* the unlink (so every reader that could

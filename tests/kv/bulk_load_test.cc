@@ -123,6 +123,7 @@ TEST(BulkLoadTest, ReplaysFromWalAfterRestart) {
   }
   ShardedStore store(options);
   ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.recovery_report().wal_records_skipped, 0u);
   EXPECT_EQ(store.Count(), 301u);
   std::string value;
   uint64_t etag = 0;

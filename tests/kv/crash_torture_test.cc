@@ -201,7 +201,10 @@ class CheckpointUnderChaosTest : public ::testing::Test {
     return outcome;
   }
 
-  void VerifyReopenInvariants(const std::string& dir) {
+  /// `clean`: no fault or crash interrupted the run, so every WAL frame on
+  /// disk postdates the last checkpoint and replay must skip none of them
+  /// (a skipped frame there is an acked write lost to a checkpoint race).
+  void VerifyReopenInvariants(const std::string& dir, bool clean = false) {
     StoreOptions so;
     so.num_shards = 4;
     so.wal_path = dir + "/wal.log";
@@ -209,6 +212,9 @@ class CheckpointUnderChaosTest : public ::testing::Test {
     so.env = nullptr;  // clean reopen: the process-restart view
     ShardedStore store(so);
     ASSERT_TRUE(store.Open().ok());
+    if (clean) {
+      EXPECT_EQ(store.recovery_report().wal_records_skipped, 0u);
+    }
     std::vector<ScanEntry> entries;
     ASSERT_TRUE(store.Scan("", 1 << 20, &entries).ok());
     long long total = 0;
@@ -235,7 +241,7 @@ TEST_F(CheckpointUnderChaosTest, ConcurrentCheckpointsNoFaults) {
   ChaosOutcome outcome = RunChaos(dir, faults);
   EXPECT_FALSE(outcome.poisoned);
   EXPECT_GE(outcome.checkpoints_ok, 6u);
-  VerifyReopenInvariants(dir);
+  VerifyReopenInvariants(dir, /*clean=*/true);
 }
 
 TEST_F(CheckpointUnderChaosTest, SyncFailurePoisonsNotCorrupts) {

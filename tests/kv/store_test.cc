@@ -5,8 +5,11 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <thread>
+
+#include "kv/fault_env.h"
 
 namespace ycsbt {
 namespace kv {
@@ -199,6 +202,7 @@ TEST_F(PersistentStoreTest, RecoversAfterRestart) {
   }
   ShardedStore revived(PersistentOptions());
   ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
   std::string value;
   ASSERT_TRUE(revived.Get("a", &value).ok());
   EXPECT_EQ(value, "updated");
@@ -321,6 +325,7 @@ TEST_F(CheckpointStoreTest, CheckpointTruncatesWalAndSurvivesRestart) {
   }
   ShardedStore revived(CheckpointOptions());
   ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
   EXPECT_EQ(revived.Count(), 100u);  // 100 - deleted + after
   std::string value;
   ASSERT_TRUE(revived.Get("k99", &value).ok());
@@ -363,6 +368,134 @@ TEST_F(CheckpointStoreTest, StaleWalRecordsAreFilteredByWatermark) {
   EXPECT_EQ(value, "v1");
 }
 
+/// Runs `hook` (once) when the store announces the named point, then lets
+/// the write carry on: forces a checkpoint into the window between a write's
+/// entry and its shard lock, deterministically.
+class HookEnv : public FaultInjectingEnv {
+ public:
+  HookEnv(std::string point, std::function<void()> hook)
+      : FaultInjectingEnv(Env::Default(), StorageFaultOptions{}),
+        point_(std::move(point)),
+        hook_(std::move(hook)) {}
+
+  Status MaybeCrashPoint(const char* point) override {
+    if (hook_ && point_ == point) {
+      std::function<void()> hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+    }
+    return FaultInjectingEnv::MaybeCrashPoint(point);
+  }
+
+ private:
+  std::string point_;
+  std::function<void()> hook_;
+};
+
+// A checkpoint between a writer's entry and its shard lock must not write a
+// watermark covering the writer's etag: the write is logged to the
+// compacted WAL and acked, so a watermark above it would make replay skip
+// an acked write.  Etags are reserved under the shard lock, so the
+// checkpoint's watermark stays below them.
+TEST_F(CheckpointStoreTest, CheckpointBeforePutLockKeepsAckedWrite) {
+  {
+    ShardedStore* target = nullptr;
+    Status ckpt;
+    HookEnv env("store_put_pre_lock", [&] { ckpt = target->Checkpoint(); });
+    StoreOptions options = CheckpointOptions();
+    options.env = &env;
+    ShardedStore store(options);
+    target = &store;
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Put("acked", "v").ok());
+    ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+  }
+  ShardedStore revived(CheckpointOptions());
+  ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
+  std::string value;
+  ASSERT_TRUE(revived.Get("acked", &value).ok()) << "acked put lost";
+  EXPECT_EQ(value, "v");
+}
+
+TEST_F(CheckpointStoreTest, CheckpointBeforeMultiPutLockKeepsAckedWrite) {
+  {
+    ShardedStore* target = nullptr;
+    Status ckpt;
+    HookEnv env("store_multiput_pre_lock",
+                [&] { ckpt = target->Checkpoint(); });
+    StoreOptions options = CheckpointOptions();
+    options.env = &env;
+    ShardedStore store(options);
+    target = &store;
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Put("seed", "0").ok());
+    ASSERT_TRUE(store.MultiPut({{"a", "1"}, {"b", "2"}}).ok());
+    ASSERT_TRUE(ckpt.ok()) << ckpt.ToString();
+  }
+  ShardedStore revived(CheckpointOptions());
+  ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
+  std::string value;
+  ASSERT_TRUE(revived.Get("a", &value).ok()) << "acked multi-put lost";
+  EXPECT_EQ(value, "1");
+  ASSERT_TRUE(revived.Get("b", &value).ok());
+  EXPECT_EQ(value, "2");
+  ASSERT_TRUE(revived.Get("seed", &value).ok());
+}
+
+// Replay applies or skips a multi-entry frame as a whole.  A frame whose
+// etag range straddles the checkpoint watermark cannot come from a correct
+// writer, so Open() reports it instead of applying half a transaction.
+TEST_F(CheckpointStoreTest, ReplayAppliesOrSkipsMultiEntryFramesWhole) {
+  uint64_t watermark = 0;
+  {
+    ShardedStore store(CheckpointOptions());
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Put("x", "0").ok());
+    ASSERT_TRUE(store.Put("y", "0", &watermark).ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+  }
+  // Below the watermark as a whole (a stale pre-checkpoint frame), then
+  // wholly above it.
+  {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(wal_path_).ok());
+    ASSERT_TRUE(wal.Append({WalRecord::Kind::kTxnPut, watermark - 1, "",
+                            EncodeBulkPayload({{"x", "stale"}, {"y", "stale"}})},
+                           false)
+                    .ok());
+    ASSERT_TRUE(wal.Append({WalRecord::Kind::kTxnPut, watermark + 1, "",
+                            EncodeBulkPayload({{"x", "new"}, {"y", "new"}})},
+                           false)
+                    .ok());
+  }
+  {
+    ShardedStore revived(CheckpointOptions());
+    ASSERT_TRUE(revived.Open().ok());
+    EXPECT_EQ(revived.recovery_report().wal_records_skipped, 1u);
+    EXPECT_EQ(revived.recovery_report().wal_records_replayed, 2u);
+    std::string x, y;
+    ASSERT_TRUE(revived.Get("x", &x).ok());
+    ASSERT_TRUE(revived.Get("y", &y).ok());
+    EXPECT_EQ(x, "new");
+    EXPECT_EQ(y, "new");
+  }
+  // A hand-built frame with etags watermark..watermark+1: half old, half new.
+  {
+    std::remove(wal_path_.c_str());
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(wal_path_).ok());
+    ASSERT_TRUE(wal.Append({WalRecord::Kind::kTxnPut, watermark, "",
+                            EncodeBulkPayload({{"x", "torn"}, {"y", "torn"}})},
+                           false)
+                    .ok());
+  }
+  ShardedStore revived(CheckpointOptions());
+  Status s = revived.Open();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
 TEST_F(CheckpointStoreTest, RepeatedCheckpointsCompose) {
   ShardedStore store(CheckpointOptions());
   ASSERT_TRUE(store.Open().ok());
@@ -376,6 +509,7 @@ TEST_F(CheckpointStoreTest, RepeatedCheckpointsCompose) {
   }
   ShardedStore revived(CheckpointOptions());
   ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
   EXPECT_EQ(revived.Count(), 60u);
 }
 
@@ -389,6 +523,7 @@ TEST_F(CheckpointStoreTest, EtagsContinueAfterCheckpointRecovery) {
   }
   ShardedStore revived(CheckpointOptions());
   ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
   uint64_t fresh = 0;
   ASSERT_TRUE(revived.Put("k2", "v2", &fresh).ok());
   EXPECT_GT(fresh, last_etag);
@@ -415,6 +550,7 @@ TEST_F(PersistentStoreTest, EtagSourceSurvivesRestart) {
   }
   ShardedStore revived(PersistentOptions());
   ASSERT_TRUE(revived.Open().ok());
+  EXPECT_EQ(revived.recovery_report().wal_records_skipped, 0u);
   uint64_t etag_after = 0;
   ASSERT_TRUE(revived.Put("k2", "v2", &etag_after).ok());
   EXPECT_GT(etag_after, etag_before) << "etags must not repeat after recovery";

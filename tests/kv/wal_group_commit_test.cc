@@ -329,6 +329,7 @@ TEST_F(WalGroupCommitTest, StoreGroupCommitRoundTripAndReopen) {
   }
   ShardedStore reopened(options);
   ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.recovery_report().wal_records_skipped, 0u);
   EXPECT_EQ(reopened.Count(), static_cast<size_t>(kThreads * kPerThread));
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -169,6 +176,101 @@ TEST_F(OccEngineTest, ScanReturnsOrderedCommittedRows) {
   ASSERT_TRUE(engine_->ScanCommitted("t/", 2, &rows).ok());
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1].key, "t/b");
+}
+
+std::string PaddedKey(const char* prefix, int i) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%06d", prefix, i);
+  return buf;
+}
+
+/// Pages through the whole committed table `limit` rows at a time, resuming
+/// just after the last key returned, the way CEW validation sweeps it.
+std::vector<TxScanEntry> ScanAllPaged(OccEngine* engine, size_t limit) {
+  std::vector<TxScanEntry> all, page;
+  std::string start;
+  do {
+    EXPECT_TRUE(engine->ScanCommitted(start, limit, &page).ok());
+    EXPECT_LE(page.size(), limit);
+    all.insert(all.end(), page.begin(), page.end());
+    if (!page.empty()) start = page.back().key + '\0';
+  } while (page.size() == limit);
+  return all;
+}
+
+TEST_F(OccEngineTest, PagedScanMatchesOracleAcrossAllShards) {
+  constexpr int kKeys = 4000;
+  std::vector<int> order(kKeys);
+  for (int i = 0; i < kKeys; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(42));
+  std::map<std::string, std::string> oracle;
+  std::set<size_t> shards;
+  for (int i : order) {
+    std::string key = PaddedKey("k", i);
+    ASSERT_TRUE(engine_->LoadPut(key, "v" + std::to_string(i)).ok());
+    oracle[key] = "v" + std::to_string(i);
+    shards.insert(std::hash<std::string_view>{}(key) %
+                  engine_->options().index_shards);
+  }
+  ASSERT_EQ(shards.size(), engine_->options().index_shards);
+  // Tombstones: every 7th key, plus a run longer than a page so one page
+  // must resume past several pages' worth of deleted candidates.
+  auto txn = engine_->Begin();
+  for (int i = 0; i < kKeys; ++i) {
+    if (i % 7 == 3 || (i >= 1000 && i < 1400)) {
+      ASSERT_TRUE(txn->Delete(PaddedKey("k", i)).ok());
+      oracle.erase(PaddedKey("k", i));
+    } else if (i % 11 == 0) {
+      ASSERT_TRUE(txn->Write(PaddedKey("k", i), "w").ok());
+      oracle[PaddedKey("k", i)] = "w";
+    }
+  }
+  ASSERT_TRUE(txn->Commit().ok());
+
+  for (size_t limit : {1u, 97u, 1000u}) {
+    std::vector<TxScanEntry> rows = ScanAllPaged(engine_.get(), limit);
+    ASSERT_EQ(rows.size(), oracle.size()) << "limit " << limit;
+    auto it = oracle.begin();
+    for (const TxScanEntry& row : rows) {
+      EXPECT_EQ(row.key, it->first);
+      EXPECT_EQ(row.value, it->second);
+      ++it;
+    }
+  }
+
+  // A start key inside the tombstone run lands on the first live key after
+  // it; a start key that exists is included.
+  std::vector<TxScanEntry> rows;
+  ASSERT_TRUE(engine_->ScanCommitted(PaddedKey("k", 1000), 3, &rows).ok());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].key, oracle.lower_bound(PaddedKey("k", 1000))->first);
+  ASSERT_TRUE(engine_->ScanCommitted(PaddedKey("k", 2), 1, &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].key, PaddedKey("k", 2));
+  ASSERT_TRUE(engine_->ScanCommitted("l", 10, &rows).ok());
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST_F(OccEngineTest, ScanSeesKeysCreatedAfterEarlierScan) {
+  engine_->LoadPut("b", "1");
+  engine_->LoadPut("d", "1");
+  std::vector<TxScanEntry> rows;
+  ASSERT_TRUE(engine_->ScanCommitted("", 10, &rows).ok());
+  ASSERT_EQ(rows.size(), 2u);
+
+  // New keys sort before, between and after the ones already scanned.
+  engine_->LoadPut("e", "2");
+  auto txn = engine_->Begin();
+  ASSERT_TRUE(txn->Write("a", "2").ok());
+  ASSERT_TRUE(txn->Write("c", "2").ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  auto reader = engine_->Begin();
+  ASSERT_TRUE(reader->Scan("", 10, &rows).ok());
+  ASSERT_TRUE(reader->Commit().ok());
+  ASSERT_EQ(rows.size(), 5u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].key, std::string(1, static_cast<char>('a' + i)));
+  }
 }
 
 TEST_F(OccEngineTest, TidMonotonicPerThreadAndCarriesEpoch) {
@@ -410,6 +512,94 @@ TEST(OccEngineStressTest, AbsentReadValidationNeverDeadlocks) {
   OccStats stats = engine.stats();
   EXPECT_EQ(stats.commits + stats.aborts,
             static_cast<uint64_t>(kPairs * 2 * kRounds));
+}
+
+// Scanners page the whole table while committers create keys, delete keys
+// and run transfers.  A scan holds shard locks only while merging and reads
+// records after dropping them; reading under a shard lock would deadlock
+// with a committer that holds record locks and waits for a unique shard
+// lock to create a record.  Every page must come back strictly ascending.
+TEST(OccEngineStressTest, PagedScansStayOrderedUnderCreatesAndTransfers) {
+  OccOptions options;
+  options.epoch_ms = 1;
+  OccEngine engine(options);
+  constexpr int kAccounts = 2000;
+  for (int i = 0; i < kAccounts; ++i) {
+    ASSERT_TRUE(engine.LoadPut(PaddedKey("acct/", i), "100").ok());
+  }
+
+  std::atomic<bool> failed{false};
+  std::atomic<int> committers_running{4};
+  std::atomic<uint64_t> sweeps{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 4; ++c) {
+    threads.emplace_back([&, c] {
+      std::mt19937 rng(c);
+      for (int i = 0; i < 1500; ++i) {
+        auto txn = engine.Begin();
+        if (c < 2) {
+          // Creates (and some deletes) in fresh keys interleaved with the
+          // accounts, and one transfer-style write of an existing account,
+          // so creation runs while this committer holds a record lock.
+          std::string fresh = PaddedKey(c == 0 ? "acct/" : "new/", i * 2 + c);
+          txn->Write(fresh + "/x", "1");
+          txn->Write(PaddedKey("acct/", static_cast<int>(rng() % kAccounts)),
+                     "100");
+          if (i % 3 == 0 && i > 0) {
+            txn->Delete(PaddedKey(c == 0 ? "acct/" : "new/", (i - 1) * 2 + c) +
+                        "/x");
+          }
+        } else {
+          std::string a = PaddedKey("acct/", static_cast<int>(rng() % kAccounts));
+          std::string b = PaddedKey("acct/", static_cast<int>(rng() % kAccounts));
+          std::string va, vb;
+          if (a == b || !txn->Read(a, &va).ok() || !txn->Read(b, &vb).ok()) {
+            continue;
+          }
+          txn->Write(a, std::to_string(std::stoi(va) - 1));
+          txn->Write(b, std::to_string(std::stoi(vb) + 1));
+        }
+        Status s = txn->Commit();
+        if (!s.ok() && !s.IsConflict()) failed = true;
+      }
+      committers_running.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 4; ++r) {
+    threads.emplace_back([&, r] {
+      const size_t limit = r % 2 == 0 ? 100 : 7;
+      std::vector<TxScanEntry> page;
+      do {
+        std::string start, last;
+        do {
+          if (!engine.ScanCommitted(start, limit, &page).ok()) failed = true;
+          for (const TxScanEntry& row : page) {
+            if (!last.empty() && row.key <= last) failed = true;
+            last = row.key;
+          }
+          if (!page.empty()) start = page.back().key + '\0';
+        } while (page.size() == limit && !failed.load());
+        sweeps.fetch_add(1);
+      } while (committers_running.load() > 0 && !failed.load());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GE(sweeps.load(), 4u);
+
+  // Quiesced: a full sweep sees exactly the live keys, in order.
+  std::vector<TxScanEntry> rows = ScanAllPaged(&engine, 256);
+  size_t live = 0;
+  for (const TxScanEntry& row : rows) {
+    std::string value;
+    if (engine.ReadCommitted(row.key, &value).ok()) ++live;
+  }
+  EXPECT_EQ(live, rows.size());
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                             [](const TxScanEntry& a, const TxScanEntry& b) {
+                               return a.key < b.key;
+                             }));
+  EXPECT_GE(rows.size(), static_cast<size_t>(kAccounts));
 }
 
 // End-to-end acceptance on the real benchmark pipeline: the Closed Economy
