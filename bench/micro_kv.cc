@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "kv/store.h"
 
 namespace {
@@ -51,6 +53,56 @@ void BM_StoreConditionalPut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreConditionalPut);
+
+// The walks above visit keys in sequence (or hit one key), which keeps the
+// memtable's search path cache-warm.  The variants below draw keys uniformly
+// at random from 100k keys shaped like the benchmark's (`usertable/user`
+// plus a hashed number, longer than the small-string buffer), so each point
+// operation pays for the cache misses of finding its key.
+
+constexpr uint64_t kRandomKeys = 100000;
+
+/// Puts `kRandomKeys` long keys with 100-byte values into `store`; returns
+/// the keys.  All keys are built before the first put, so a lookup key does
+/// not share cache lines with the node it finds.
+std::vector<std::string> LoadLongKeys(kv::ShardedStore* store) {
+  std::vector<std::string> keys;
+  keys.reserve(kRandomKeys);
+  for (uint64_t i = 0; i < kRandomKeys; ++i) {
+    keys.push_back("usertable/user" + std::to_string(FNVHash64(i)));
+  }
+  std::string value(100, 'x');
+  for (const std::string& key : keys) store->Put(key, value);
+  return keys;
+}
+
+void BM_StoreGetRandom(benchmark::State& state) {
+  kv::ShardedStore store;
+  const std::vector<std::string> keys = LoadLongKeys(&store);
+  Random64 rng(301);
+  std::string out;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.Get(keys[rng.Uniform(kRandomKeys)], &out));
+  }
+}
+BENCHMARK(BM_StoreGetRandom);
+
+// A read-modify-write as the transaction layer issues it: Get for the etag,
+// then ConditionalPut on it.
+void BM_StoreConditionalPutRandom(benchmark::State& state) {
+  kv::ShardedStore store;
+  const std::vector<std::string> keys = LoadLongKeys(&store);
+  std::string value(100, 'x');
+  Random64 rng(302);
+  std::string out;
+  for (auto _ : state) {
+    const std::string& key = keys[rng.Uniform(kRandomKeys)];
+    uint64_t etag = 0;
+    store.Get(key, &out, &etag);
+    benchmark::DoNotOptimize(store.ConditionalPut(key, value, etag));
+  }
+}
+BENCHMARK(BM_StoreConditionalPutRandom);
 
 void BM_StoreScan(benchmark::State& state) {
   kv::ShardedStore store;

@@ -377,8 +377,9 @@ Status ShardedStore::MultiPut(
   if (!log.ok()) return log;
 
   for (size_t i = 0; i < records.size(); ++i) {
-    ShardFor(records[i].first)
-        .map.Upsert(records[i].first, Entry{records[i].second, first_etag + i});
+    Shard& shard = ShardFor(records[i].first);
+    Assign(shard, shard.map.Find(records[i].first), records[i].first,
+           records[i].second, first_etag + i);
   }
   if (etags_out != nullptr) {
     etags_out->clear();
@@ -387,6 +388,16 @@ Status ShardedStore::MultiPut(
     }
   }
   return Status::OK();
+}
+
+void ShardedStore::Assign(Shard& shard, Entry* entry, const std::string& key,
+                          std::string_view value, uint64_t etag) {
+  if (entry == nullptr) {
+    shard.map.Upsert(key, Entry{std::string(value), etag});
+    return;
+  }
+  entry->value = std::string(value);
+  entry->etag = etag;
 }
 
 ShardedStore::Shard& ShardedStore::ShardFor(const std::string& key) {
@@ -439,7 +450,7 @@ Status ShardedStore::Put(const std::string& key, std::string_view value,
   uint64_t etag = NextEtag();
   s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
   if (!s.ok()) return s;
-  shard.map.Upsert(key, Entry{std::string(value), etag});
+  Assign(shard, shard.map.Find(key), key, value, etag);
   if (etag_out != nullptr) *etag_out = etag;
   return Status::OK();
 }
@@ -450,7 +461,7 @@ Status ShardedStore::ConditionalPut(const std::string& key, std::string_view val
   if (key.empty()) return Status::InvalidArgument("empty keys are reserved");
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const Entry* entry = shard.map.Find(key);
+  Entry* entry = shard.map.Find(key);
   if (expected_etag == kEtagAbsent) {
     if (entry != nullptr) return Status::Conflict("key exists: " + key);
   } else {
@@ -462,7 +473,7 @@ Status ShardedStore::ConditionalPut(const std::string& key, std::string_view val
   uint64_t etag = NextEtag();
   Status s = LogMutation(WalRecord::Kind::kPut, key, value, etag);
   if (!s.ok()) return s;
-  shard.map.Upsert(key, Entry{std::string(value), etag});
+  Assign(shard, entry, key, value, etag);
   if (etag_out != nullptr) *etag_out = etag;
   return Status::OK();
 }
@@ -471,13 +482,16 @@ Status ShardedStore::Delete(const std::string& key) {
   if (!open_) return Status::IOError("store not opened");
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  if (shard.map.Find(key) == nullptr) return Status::NotFound(key);
-  // Deletes consume an etag too, so the log is totally ordered per key and
-  // checkpoint watermarks can filter replay exactly.
-  Status s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
-  if (!s.ok()) return s;
-  shard.map.Erase(key);
-  return Status::OK();
+  Status s = Status::OK();
+  bool found = false;
+  shard.map.EraseIf(key, [&](const Entry&) {
+    found = true;
+    // Deletes consume an etag too, so the log is totally ordered per key and
+    // checkpoint watermarks can filter replay exactly.
+    s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
+    return s.ok();
+  });
+  return found ? s : Status::NotFound(key);
 }
 
 Status ShardedStore::ConditionalDelete(const std::string& key,
@@ -485,13 +499,18 @@ Status ShardedStore::ConditionalDelete(const std::string& key,
   if (!open_) return Status::IOError("store not opened");
   Shard& shard = ShardFor(key);
   std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const Entry* entry = shard.map.Find(key);
-  if (entry == nullptr) return Status::Conflict("key absent: " + key);
-  if (entry->etag != expected_etag) return Status::Conflict("etag mismatch on " + key);
-  Status s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
-  if (!s.ok()) return s;
-  shard.map.Erase(key);
-  return Status::OK();
+  Status s = Status::OK();
+  bool found = false;
+  shard.map.EraseIf(key, [&](const Entry& entry) {
+    found = true;
+    if (entry.etag != expected_etag) {
+      s = Status::Conflict("etag mismatch on " + key);
+      return false;
+    }
+    s = LogMutation(WalRecord::Kind::kDelete, key, "", NextEtag());
+    return s.ok();
+  });
+  return found ? s : Status::Conflict("key absent: " + key);
 }
 
 Status ShardedStore::Scan(const std::string& start_key, size_t limit,
@@ -526,8 +545,8 @@ Status ShardedStore::Scan(const std::string& start_key, size_t limit,
     std::pop_heap(heap.begin(), heap.end(), greater);
     size_t idx = heap.back();
     heap.pop_back();
-    out->push_back(
-        ScanEntry{iters[idx].key(), iters[idx].value().value, iters[idx].value().etag});
+    out->push_back(ScanEntry{std::string(iters[idx].key()),
+                             iters[idx].value().value, iters[idx].value().etag});
     iters[idx].Next();
     if (iters[idx].Valid()) {
       heap.push_back(idx);

@@ -320,6 +320,13 @@ class ShardedStore : public Store {
     SkipList<Entry> map;
   };
 
+  /// Writes `value` under `key` in `shard`: `entry` (the key's current
+  /// entry from `Find`, or null when absent) is overwritten in place, with
+  /// no second lookup; an absent key is linked in.  The value gets a buffer
+  /// of its own size: reusing the old one would hold every record at the
+  /// size of its largest encoding (a txn record while locked).
+  static void Assign(Shard& shard, Entry* entry, const std::string& key,
+                     std::string_view value, uint64_t etag);
   Shard& ShardFor(const std::string& key);
   size_t ShardIndex(const std::string& key) const;
   /// WAL commit-path configuration derived from the store options.

@@ -361,7 +361,10 @@ class ClientTxn : public Transaction {
   /// planting an ABORTED status record — the TSR key's must-not-exist write
   /// is the atomic arbiter, so either the owner already committed (our plant
   /// loses and we re-read the TSR) or the owner can never commit (its own
-  /// TSR write will lose) and the old version is definitively correct.
+  /// TSR write will lose) and the old version is definitively correct.  The
+  /// second case holds only while the record still carries the lock after
+  /// the plant: an owner that finished and deleted its TSR just before it
+  /// leaves the plant unopposed, so a moved etag re-evaluates the record.
   Status ResolveForRead(const std::string& key, TxRecord* record, uint64_t* etag) {
     const int max_attempts = store_->options_.lock_wait_retries;
     for (int attempt = 0; /* exits below */; ++attempt) {
@@ -433,8 +436,32 @@ class ClientTxn : public Transaction {
       Status plant = store_->base_->ConditionalPut(tsr_key, EncodeTsr(aborted),
                                                    kv::kEtagAbsent);
       if (plant.ok()) {
-        store_->reader_aborts_.fetch_add(1, std::memory_order_relaxed);
-        return Status::OK();
+        // A successful plant only proves no TSR existed at that instant.  An
+        // owner that committed, rolled forward and deleted its TSR between
+        // our re-read and the plant leaves none either, and our copy then
+        // predates its commit (serving it loses the owner's update).  So
+        // re-read, as RecoverLock's etag CAS does: an unchanged etag means
+        // the lock outlived the plant and the owner can never commit.
+        TxRecord after;
+        uint64_t after_etag = kv::kEtagAbsent;
+        Status ra = store_->LoadRecord(key, &after, &after_etag);
+        if (!ra.ok() && !ra.IsNotFound()) return ra;
+        if (ra.ok() && after_etag == *etag) {
+          store_->reader_aborts_.fetch_add(1, std::memory_order_relaxed);
+          return Status::OK();
+        }
+        // The lock was settled without us, so the plant decided nothing.
+        // Within the lease no recoverer can have rolled the owner back on
+        // the strength of our plant, so the owner is finished and the plant
+        // is an orphan; past it, a live owner may still depend on the plant
+        // to keep it from committing, and it stays.
+        if (!LeaseExpired(*record, store_->options_.lock_lease_us)) {
+          store_->base_->Delete(tsr_key);
+        }
+        if (ra.IsNotFound()) return ra;
+        *record = std::move(after);
+        *etag = after_etag;
+        continue;
       }
       if (!plant.IsConflict()) return plant;
       // Owner beat us to the TSR; loop re-reads it.

@@ -51,7 +51,7 @@ TEST(SkipListTest, IterationIsSorted) {
   }
   SkipList<int>::Iterator it(&list);
   std::vector<std::string> seen;
-  for (it.SeekToFirst(); it.Valid(); it.Next()) seen.push_back(it.key());
+  for (it.SeekToFirst(); it.Valid(); it.Next()) seen.emplace_back(it.key());
   std::vector<std::string> expected = keys;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(seen, expected);
@@ -76,28 +76,85 @@ TEST(SkipListTest, SeekFindsLowerBound) {
   EXPECT_EQ(it.key(), "b");
 }
 
+/// Asserts `list` and `reference` hold the same entries: iteration order and
+/// values, every reference key reachable through the index (`Find`), and
+/// `size()` equal to both counts.
+void ExpectSameContents(const SkipList<uint64_t>& list,
+                        const std::map<std::string, uint64_t>& reference) {
+  ASSERT_EQ(list.size(), reference.size());
+  SkipList<uint64_t>::Iterator it(&list);
+  auto rit = reference.begin();
+  size_t iterated = 0;
+  for (it.SeekToFirst(); it.Valid(); it.Next(), ++rit, ++iterated) {
+    ASSERT_NE(rit, reference.end());
+    ASSERT_EQ(it.key(), rit->first);
+    ASSERT_EQ(it.value(), rit->second);
+  }
+  EXPECT_EQ(rit, reference.end());
+  EXPECT_EQ(iterated, list.size());
+  for (const auto& [key, value] : reference) {
+    const uint64_t* found = list.Find(key);
+    ASSERT_NE(found, nullptr) << key;
+    ASSERT_EQ(*found, value) << key;
+  }
+}
+
+/// Keys of the shape the benchmark uses: longer than the small-string buffer,
+/// so they exercise the inline key bytes of a node, with a short form mixed
+/// in.
+std::string PropertyKey(uint64_t n) {
+  if (n % 3 == 0) return "k" + std::to_string(n);
+  return "usertable/user" + std::to_string(n * 0x9E3779B97F4A7C15ull);
+}
+
 TEST(SkipListTest, MatchesReferenceMapUnderRandomOps) {
-  // Property test: a long random op sequence must agree with std::map.
+  // Property test: a long random op sequence must agree with std::map —
+  // point ops through the index, sorted runs spliced into the populated list
+  // through a SortedInserter (overwriting keys already present), and
+  // Find/Erase/re-insert of keys those runs created.
   SkipList<uint64_t> list;
   std::map<std::string, uint64_t> reference;
   Random64 rng(2024);
   for (int i = 0; i < 20000; ++i) {
-    std::string key = "k" + std::to_string(rng.Uniform(500));
-    switch (rng.Uniform(4)) {
+    std::string key = PropertyKey(rng.Uniform(500));
+    switch (rng.Uniform(9)) {
       case 0:
-      case 1: {  // upsert
+      case 1:
+      case 2: {  // upsert
         uint64_t v = rng.Next();
-        list.Upsert(key, v);
+        ASSERT_EQ(list.Upsert(key, v), reference.count(key) == 0);
         reference[key] = v;
         break;
       }
-      case 2: {  // erase
+      case 3:
+      case 4: {  // erase
         bool a = list.Erase(key);
         bool b = reference.erase(key) > 0;
         ASSERT_EQ(a, b);
         break;
       }
-      case 3: {  // lookup
+      case 5: {  // conditional erase: only odd values go
+        auto it = reference.find(key);
+        bool expect = it != reference.end() && it->second % 2 == 1;
+        ASSERT_EQ(list.EraseIf(key, [](uint64_t v) { return v % 2 == 1; }),
+                  expect);
+        if (expect) reference.erase(it);
+        break;
+      }
+      case 6: {  // sorted run into the populated list
+        std::map<std::string, uint64_t> run;
+        size_t len = 1 + rng.Uniform(40);
+        for (size_t j = 0; j < len; ++j) {
+          run[PropertyKey(rng.Uniform(500))] = rng.Next();
+        }
+        SkipList<uint64_t>::SortedInserter cursor(&list);
+        for (const auto& [k, v] : run) {
+          ASSERT_EQ(cursor.Insert(k, v), reference.count(k) == 0) << k;
+          reference[k] = v;
+        }
+        break;
+      }
+      default: {  // lookup
         auto* found = list.Find(key);
         auto it = reference.find(key);
         if (it == reference.end()) {
@@ -109,17 +166,22 @@ TEST(SkipListTest, MatchesReferenceMapUnderRandomOps) {
         break;
       }
     }
+    if (i % 2000 == 0) ExpectSameContents(list, reference);
   }
-  ASSERT_EQ(list.size(), reference.size());
-  // Final full-order comparison.
-  SkipList<uint64_t>::Iterator it(&list);
-  auto rit = reference.begin();
-  for (it.SeekToFirst(); it.Valid(); it.Next(), ++rit) {
-    ASSERT_NE(rit, reference.end());
-    EXPECT_EQ(it.key(), rit->first);
-    EXPECT_EQ(it.value(), rit->second);
+  ExpectSameContents(list, reference);
+  // Drain to empty and refill: the index must forget every erased key and
+  // take each one back.
+  for (const auto& [key, value] : reference) {
+    (void)value;
+    ASSERT_TRUE(list.Erase(key));
+    ASSERT_EQ(list.Find(key), nullptr);
   }
-  EXPECT_EQ(rit, reference.end());
+  EXPECT_TRUE(list.empty());
+  for (auto& [key, value] : reference) {
+    value = rng.Next();
+    ASSERT_TRUE(list.Upsert(key, value));
+  }
+  ExpectSameContents(list, reference);
 }
 
 TEST(SkipListTest, LargeSequentialInsert) {

@@ -191,6 +191,69 @@ TEST_F(PersistentStoreTest, OpsBeforeOpenFail) {
   EXPECT_TRUE(store.Put("k", "v").IsIOError());
 }
 
+TEST_F(PersistentStoreTest, ConditionalOpsKeepAbsentMismatchExistsSemantics) {
+  // Every refusal of ConditionalPut/ConditionalDelete/Delete (absent key,
+  // etag mismatch, key exists) leaves the entry and the log untouched; every
+  // success logs exactly one record.  Keys are longer than the small-string
+  // buffer, like the benchmark's, and overwrites shrink and grow the value.
+  const std::string a = "usertable/user6284781860667377211";
+  const std::string b = "usertable/user8517097267634966620";
+  std::string value;
+  uint64_t etag = 0;
+  uint64_t a_etag = 0;
+  size_t logged = 0;
+  {
+    ShardedStore store(PersistentOptions());
+    ASSERT_TRUE(store.Open().ok());
+    // Absent key.
+    EXPECT_TRUE(store.ConditionalPut(a, "x", 42).IsConflict());
+    EXPECT_TRUE(store.ConditionalDelete(a, 42).IsConflict());
+    EXPECT_TRUE(store.Delete(a).IsNotFound());
+    EXPECT_EQ(store.Count(), 0u);
+    ASSERT_TRUE(store.ConditionalPut(a, std::string(64, 'a'), kEtagAbsent,
+                                     &a_etag).ok());
+    ++logged;
+    // Key exists.
+    EXPECT_TRUE(store.ConditionalPut(a, "y", kEtagAbsent).IsConflict());
+    // Etag mismatch.
+    EXPECT_TRUE(store.ConditionalPut(a, "z", a_etag + 1).IsConflict());
+    EXPECT_TRUE(store.ConditionalDelete(a, a_etag + 1).IsConflict());
+    ASSERT_TRUE(store.Get(a, &value, &etag).ok());
+    EXPECT_EQ(value, std::string(64, 'a'));
+    EXPECT_EQ(etag, a_etag);
+    // Matching overwrites, in place: shorter, then longer than before.
+    ASSERT_TRUE(store.ConditionalPut(a, "short", a_etag, &a_etag).ok());
+    ++logged;
+    ASSERT_TRUE(store.Get(a, &value, &etag).ok());
+    EXPECT_EQ(value, "short");
+    EXPECT_EQ(etag, a_etag);
+    ASSERT_TRUE(store.ConditionalPut(a, std::string(200, 'b'), a_etag,
+                                     &a_etag).ok());
+    ++logged;
+    // Delete and ConditionalDelete of a present key, then re-creation.
+    ASSERT_TRUE(store.Put(b, "1").ok());
+    ++logged;
+    ASSERT_TRUE(store.Delete(b).ok());
+    ++logged;
+    EXPECT_TRUE(store.Delete(b).IsNotFound());
+    ASSERT_TRUE(store.ConditionalPut(b, "2", kEtagAbsent, &etag).ok());
+    ++logged;
+    ASSERT_TRUE(store.ConditionalDelete(b, etag).ok());
+    ++logged;
+    EXPECT_TRUE(store.ConditionalDelete(b, etag).IsConflict());
+    EXPECT_TRUE(store.Get(b, &value).IsNotFound());
+    EXPECT_EQ(store.Count(), 1u);
+  }
+  ShardedStore store(PersistentOptions());
+  ASSERT_TRUE(store.Open().ok());
+  EXPECT_EQ(store.recovery_report().wal_records_replayed, logged);
+  ASSERT_TRUE(store.Get(a, &value, &etag).ok());
+  EXPECT_EQ(value, std::string(200, 'b'));
+  EXPECT_EQ(etag, a_etag);
+  EXPECT_TRUE(store.Get(b, &value).IsNotFound());
+  EXPECT_EQ(store.Count(), 1u);
+}
+
 TEST_F(PersistentStoreTest, RecoversAfterRestart) {
   {
     ShardedStore store(PersistentOptions());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -36,6 +37,78 @@ class TxnConcurrencyTest : public ::testing::Test {
   std::shared_ptr<HlcTimestampSource> ts_;
   std::unique_ptr<ClientTxnStore> store_;
 };
+
+TEST(ReaderPlantRaceTest, PlantAfterOwnerFinishedServesTheOwnersCommit) {
+  // Reader R finds account a locked by transfer T, finds no TSR, re-reads a
+  // (same etag) and, with no lock waits allowed, plants an ABORTED TSR.  The
+  // store hook runs T's whole commit (TSR write, roll-forward, TSR delete)
+  // between R's re-read and R's plant, so the plant succeeds although T has
+  // committed.  R began after T drew its commit timestamp, so serving R's
+  // stale copy of a would let R's own transfer overwrite T's: a lost update.
+  auto base = std::make_shared<kv::ShardedStore>();
+  auto hooked = std::make_shared<kv::InstrumentedStore>(base);
+  auto ts = std::make_shared<HlcTimestampSource>();
+  TxnOptions options;
+  options.lock_wait_retries = 0;
+  ClientTxnStore store(hooked, ts, options);
+  ASSERT_TRUE(store.LoadPut("a", "100").ok());
+  ASSERT_TRUE(store.LoadPut("b", "100").ok());
+
+  std::latch owner_at_commit_point(1);
+  std::latch owner_may_commit(1);
+  std::latch owner_committed(1);
+  std::atomic<int> tsr_puts{0};
+  hooked->set_hook([&](kv::InstrumentedStore::Op op, const std::string& key,
+                       bool after) {
+    if (after || op != kv::InstrumentedStore::Op::kConditionalPut ||
+        key.rfind(options.tsr_prefix, 0) != 0) {
+      return;
+    }
+    switch (tsr_puts.fetch_add(1)) {
+      case 0:  // T's commit point: hold it until R is about to plant.
+        owner_at_commit_point.count_down();
+        owner_may_commit.wait();
+        break;
+      case 1:  // R's plant: let T finish its whole commit first.
+        owner_may_commit.count_down();
+        owner_committed.wait();
+        break;
+      default:
+        break;
+    }
+  });
+
+  std::thread owner([&] {
+    auto t = store.Begin();
+    EXPECT_TRUE(t->Write("a", "90").ok());
+    EXPECT_TRUE(t->Write("b", "110").ok());
+    EXPECT_TRUE(t->Commit().ok());
+    owner_committed.count_down();
+  });
+  owner_at_commit_point.wait();
+  auto r = store.Begin();
+  std::string a;
+  std::string b;
+  Status read_a = r->Read("a", &a);
+  owner.join();
+  hooked->set_hook(nullptr);
+  ASSERT_TRUE(read_a.ok()) << read_a.ToString();
+  EXPECT_EQ(a, "90");
+  ASSERT_TRUE(r->Read("b", &b).ok());
+  EXPECT_EQ(b, "110");
+  ASSERT_TRUE(r->Write("a", std::to_string(std::stoll(a) - 10)).ok());
+  ASSERT_TRUE(r->Write("b", std::to_string(std::stoll(b) + 10)).ok());
+  ASSERT_TRUE(r->Commit().ok());
+
+  ASSERT_TRUE(store.ReadCommitted("a", &a).ok());
+  ASSERT_TRUE(store.ReadCommitted("b", &b).ok());
+  EXPECT_EQ(std::stoll(a) + std::stoll(b), 200);
+  // The plant decided nothing, and its orphan TSR was cleaned up.
+  EXPECT_EQ(store.stats().reader_aborts, 0u);
+  std::vector<kv::ScanEntry> tsrs;
+  ASSERT_TRUE(base->Scan(options.tsr_prefix, 10, &tsrs).ok());
+  EXPECT_TRUE(tsrs.empty());
+}
 
 TEST_F(TxnConcurrencyTest, ConcurrentTransfersPreserveTotal) {
   constexpr int kAccounts = 20;
